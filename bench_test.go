@@ -282,26 +282,19 @@ func BenchmarkNativeQueue(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer q.Close()
-			var mu sync.Mutex
-			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				h, err := q.NewHandle()
-				mu.Unlock()
-				if err != nil {
-					panic(err)
-				}
-				var i uint64
-				for pb.Next() {
-					if i%2 == 0 {
-						h.Enqueue(i)
-					} else {
-						h.Dequeue()
-					}
-					i++
-				}
-			})
+			benchQueueHandles(b, q.NewHandle)
 		})
 	}
+	// The two-lock queue over two dedicated server goroutines: the
+	// extra server cost §5.4 discusses.
+	b.Run("MSQueue2/mpserver", func(b *testing.B) {
+		q, err := object.NewMSQueue2("mpserver", nativeOpts()...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer q.Close()
+		benchQueueHandles(b, q.NewHandle)
+	})
 	b.Run("LCRQ", func(b *testing.B) {
 		q := object.NewLCRQueue(1024)
 		b.RunParallel(func(pb *testing.PB) {
@@ -315,6 +308,29 @@ func BenchmarkNativeQueue(b *testing.B) {
 				i++
 			}
 		})
+	})
+}
+
+// benchQueueHandles drives a balanced enqueue/dequeue mix, one handle
+// per parallel goroutine.
+func benchQueueHandles(b *testing.B, newHandle func() (*object.QueueHandle, error)) {
+	var mu sync.Mutex
+	b.RunParallel(func(pb *testing.PB) {
+		mu.Lock()
+		h, err := newHandle()
+		mu.Unlock()
+		if err != nil {
+			panic(err)
+		}
+		var i uint64
+		for pb.Next() {
+			if i%2 == 0 {
+				h.Enqueue(i)
+			} else {
+				h.Dequeue()
+			}
+			i++
+		}
 	})
 }
 
@@ -365,7 +381,7 @@ func BenchmarkNativeStack(b *testing.B) {
 
 // BenchmarkNativeShardedCounter drives Zipf-skewed keyed increments
 // through the shard router at 1 vs 4 shards — the native analogue of
-// `hybbench -bench sharded`, kept here so the CI bench smoke catches a
+// hybsweep's sharded cells, kept here so the CI bench smoke catches a
 // routing regression that panics or deadlocks.
 func BenchmarkNativeShardedCounter(b *testing.B) {
 	zipf, err := harness.NewZipf(1<<16, 0.99, 1)

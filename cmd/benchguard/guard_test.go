@@ -26,7 +26,12 @@ func TestParseClauses(t *testing.T) {
 	if len(sel) != 4 {
 		t.Fatalf("got %d clauses", len(sel))
 	}
-	for _, bad := range []string{"depth", "depth>", "=1", "algo>mpserver", "bench<counter"} {
+	for _, bad := range []string{
+		"depth", "depth>", "=1", "algo>mpserver", "bench<counter",
+		"depht!=4",    // unknown field: would select every cell
+		"depht=4",     // unknown field: would select no cell
+		"threads=two", // non-integer on a numeric field: would select no cell
+	} {
 		if _, err := parseClauses([]string{bad}); err == nil {
 			t.Errorf("clause %q accepted", bad)
 		}
@@ -53,8 +58,6 @@ func TestSelectorMatch(t *testing.T) {
 		{[]string{"dist!=uniform"}, sharded, true},
 		{[]string{"threads<=2"}, sharded, false},
 		{[]string{"shards=2", "bench=sharded"}, sharded, true},
-		// Unknown field never matches '=' (typos select nothing).
-		{[]string{"depht=4"}, async, false},
 	}
 	for _, tc := range cases {
 		sel, err := parseClauses(tc.clauses)

@@ -1,38 +1,27 @@
-// Command benchguard compares fresh benchmark runs against a committed
-// baseline file and fails loudly when cost regresses beyond a
+// Command benchguard compares fresh hybsweep runs against a committed
+// JSONL baseline and fails loudly when cost regresses beyond a
 // tolerance — the CI guard that keeps the batch and pipeline machinery
 // from taxing the measured paths.
 //
-// It has two modes sharing one comparison engine (median of N runs per
-// point, fractional ns/op tolerance, missing points are failures):
-//
-// Report mode (default) guards the blocking t=1 path of a hybbench
-// -json envelope:
-//
-//	hybbench -bench counter -threads 1 -json > run1.json   (repeat)
-//	benchguard -baseline BENCH_native.json -bench counter -threads 1 \
-//	    -max-regress 0.10 run1.json run2.json run3.json
-//
-// Sweep mode (-sweep) guards cells of a hybsweep JSONL artifact, so CI
-// gates the async (depth>1), batch (batch>1) and GOMAXPROCS>1 legs
-// instead of only the scalar single-thread path. Records are keyed by
-// the full cell identity (bench, algo, threads, shards, dist, depth,
-// batch, path, gomaxprocs); -where clauses select which baseline cells
-// to gate, and every selected cell must appear in the candidates:
+// Records are keyed by the full cell identity (bench, algo, threads,
+// shards, dist, depth, batch, path, gomaxprocs); -where clauses select
+// which baseline cells to gate, and every selected cell must appear in
+// the candidates:
 //
 //	GOMAXPROCS=2 hybsweep -grid '...' > run1.jsonl          (repeat)
-//	benchguard -sweep -baseline BENCH_sweep.jsonl -max-regress 0.40 \
+//	benchguard -baseline BENCH_sweep.jsonl -max-regress 0.40 \
 //	    -where 'gomaxprocs=2' -where 'depth>1' -where 'algo=mpserver,hybcomb' \
 //	    run1.jsonl run2.jsonl run3.jsonl
 //
 // A -where clause is `field OP value`: OP one of = != > >= < <=, with
-// numeric fields (threads, shards, depth, batch, gomaxprocs, numcpu)
-// supporting all six and string fields (bench, algo, dist, path, skip)
-// supporting = and != where `=` against a comma-separated list means
-// "is one of". Clauses AND together. Skipped/failed baseline cells are
-// never gated.
+// numeric fields (threads, shards, depth, batch, gomaxprocs, numcpu,
+// cell) supporting all six and string fields (bench, algo, dist, path,
+// skip) supporting = and != where `=` against a comma-separated list
+// means "is one of". Clauses AND together; an unknown field or a
+// non-integer value on a numeric field is rejected. Skipped/failed
+// baseline cells are never gated.
 //
-// Sweep mode can also gate one algorithm AGAINST ANOTHER instead of
+// benchguard can also gate one algorithm AGAINST ANOTHER instead of
 // against its own history: -vs 'hybrid=mcs-lock' pairs each selected
 // mcs-lock cell with the hybrid cell at the same scenario (same bench,
 // threads, shards, dist, depth, batch, path, gomaxprocs) and fails if
@@ -40,7 +29,7 @@
 // algorithm's by more than the tolerance. This is how CI enforces the
 // adaptive hybrid's "within 10% of the best lock at one thread" claim:
 //
-//	benchguard -sweep -vs 'hybrid=mcs-lock' -max-regress 0.10 \
+//	benchguard -vs 'hybrid=mcs-lock' -max-regress 0.10 \
 //	    -where 'threads=1' -baseline run1.jsonl run1.jsonl run2.jsonl run3.jsonl
 //
 // For every selected point the candidate ns/op is the MEDIAN across
@@ -71,13 +60,10 @@ func (w *whereFlags) Set(s string) error {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_native.json", "committed baseline file (hybbench report, or sweep JSONL with -sweep)")
-	sweepMode := flag.Bool("sweep", false, "baseline and candidates are hybsweep JSONL artifacts gated per cell")
+	baselinePath := flag.String("baseline", "BENCH_native.jsonl", "committed baseline JSONL file")
 	var where whereFlags
-	flag.Var(&where, "where", "sweep mode: cell selector like 'depth>1' or 'algo=mpserver,hybcomb' (repeatable, ANDed)")
-	vs := flag.String("vs", "", "sweep mode: cross-algorithm gate 'candidate=baseline' (e.g. 'hybrid=mcs-lock'): compare the candidate algo's cells against the baseline algo's at the same scenario instead of against history")
-	bench := flag.String("bench", "counter", "report mode: bench name to compare")
-	threads := flag.Int("threads", 1, "report mode: thread count to compare (1 = the blocking round-trip path)")
+	flag.Var(&where, "where", "cell selector like 'depth>1' or 'algo=mpserver,hybcomb' (repeatable, ANDed)")
+	vs := flag.String("vs", "", "cross-algorithm gate 'candidate=baseline' (e.g. 'hybrid=mcs-lock'): compare the candidate algo's cells against the baseline algo's at the same scenario instead of against history")
 	maxRegress := flag.Float64("max-regress", 0.10, "maximum allowed fractional ns/op regression vs baseline")
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -85,17 +71,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var failed bool
-	var err error
-	if *sweepMode {
-		failed, err = guardSweep(*baselinePath, flag.Args(), where, *vs, *maxRegress)
-	} else {
-		if len(where) > 0 || *vs != "" {
-			err = fmt.Errorf("-where and -vs require -sweep")
-		} else {
-			failed, err = guardReport(*baselinePath, flag.Args(), *bench, *threads, *maxRegress)
-		}
-	}
+	failed, err := guardSweep(*baselinePath, flag.Args(), where, *vs, *maxRegress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 		os.Exit(2)
@@ -146,59 +122,6 @@ func median(xs []float64) float64 {
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
-
-// ---- report mode ----
-
-// loadReport reads one hybbench -json report.
-func loadReport(path string) (benchfmt.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return benchfmt.Report{}, err
-	}
-	defer f.Close()
-	rep, err := benchfmt.ReadReport(f)
-	if err != nil {
-		return benchfmt.Report{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// pick returns the ns/op of every (bench, threads) record by algorithm.
-func pick(r benchfmt.Report, bench string, threads int) map[string]float64 {
-	out := map[string]float64{}
-	for _, res := range r.Results {
-		if res.Bench == bench && res.Threads == threads && res.NsPerOp > 0 {
-			out[res.Algo] = res.NsPerOp
-		}
-	}
-	return out
-}
-
-func guardReport(baselinePath string, candidatePaths []string, bench string, threads int, maxRegress float64) (bool, error) {
-	base, err := loadReport(baselinePath)
-	if err != nil {
-		return false, fmt.Errorf("baseline: %w", err)
-	}
-	baseline := pick(base, bench, threads)
-	if len(baseline) == 0 {
-		return false, fmt.Errorf("baseline has no (%s, threads=%d) records", bench, threads)
-	}
-	candidates := map[string][]float64{}
-	for _, path := range candidatePaths {
-		r, err := loadReport(path)
-		if err != nil {
-			return false, err
-		}
-		for algo, ns := range pick(r, bench, threads) {
-			candidates[algo] = append(candidates[algo], ns)
-		}
-	}
-	fmt.Printf("benchguard: %s threads=%d, median of %d run(s) vs %s (tolerance +%.0f%%)\n",
-		bench, threads, len(candidatePaths), baselinePath, maxRegress*100)
-	return compare(baseline, candidates, maxRegress), nil
-}
-
-// ---- sweep mode ----
 
 // cellKey is the full identity of a sweep cell, so gating never
 // conflates two scenarios that share an algorithm.
@@ -298,6 +221,7 @@ type clause struct {
 	field string
 	op    string
 	value string
+	num   int // value parsed as an integer, on numeric fields
 }
 
 type selector []clause
@@ -324,7 +248,20 @@ func parseClauses(specs []string) (selector, error) {
 		if !found || c.value == "" {
 			return nil, fmt.Errorf("bad -where clause %q (want field OP value, OP in = != > >= < <=)", spec)
 		}
-		if _, _, numeric := fieldOf(benchfmt.SweepRecord{}, c.field); !numeric && c.op != "=" && c.op != "!=" {
+		// Reject what would otherwise select silently: an unknown field
+		// matches every != clause, and a non-integer on a numeric field
+		// matches nothing.
+		_, _, numeric, known := fieldOf(benchfmt.SweepRecord{}, c.field)
+		switch {
+		case !known:
+			return nil, fmt.Errorf("-where %q: unknown field %q", spec, c.field)
+		case numeric:
+			n, err := strconv.Atoi(c.value)
+			if err != nil {
+				return nil, fmt.Errorf("-where %q: numeric field %q needs an integer value", spec, c.field)
+			}
+			c.num = n
+		case c.op != "=" && c.op != "!=":
 			return nil, fmt.Errorf("-where %q: string field %q supports only = and !=", spec, c.field)
 		}
 		sel = append(sel, c)
@@ -333,62 +270,57 @@ func parseClauses(specs []string) (selector, error) {
 }
 
 // fieldOf resolves a -where field name against a record, returning its
-// numeric or string value and whether the field is numeric. Unknown
-// fields resolve as non-numeric "" (so a typo fails the = match
-// loudly rather than silently selecting everything).
-func fieldOf(r benchfmt.SweepRecord, name string) (num int, str string, numeric bool) {
+// numeric or string value, whether the field is numeric, and whether
+// the name is a field at all.
+func fieldOf(r benchfmt.SweepRecord, name string) (num int, str string, numeric, known bool) {
 	switch name {
 	case "threads":
-		return r.Threads, "", true
+		return r.Threads, "", true, true
 	case "shards":
-		return r.Shards, "", true
+		return r.Shards, "", true, true
 	case "depth":
-		return r.Depth, "", true
+		return r.Depth, "", true, true
 	case "batch":
-		return r.Batch, "", true
+		return r.Batch, "", true, true
 	case "gomaxprocs":
-		return r.GoMaxProcs, "", true
+		return r.GoMaxProcs, "", true, true
 	case "numcpu":
-		return r.NumCPU, "", true
+		return r.NumCPU, "", true, true
 	case "cell":
-		return r.Cell, "", true
+		return r.Cell, "", true, true
 	case "bench":
-		return 0, r.Bench, false
+		return 0, r.Bench, false, true
 	case "algo":
-		return 0, r.Algo, false
+		return 0, r.Algo, false, true
 	case "dist":
-		return 0, r.Dist, false
+		return 0, r.Dist, false, true
 	case "path":
-		return 0, r.Path, false
+		return 0, r.Path, false, true
 	case "skip":
-		return 0, r.Skip, false
+		return 0, r.Skip, false, true
 	default:
-		return 0, "", false
+		return 0, "", false, false
 	}
 }
 
 func (s selector) match(r benchfmt.SweepRecord) bool {
 	for _, c := range s {
-		num, str, numeric := fieldOf(r, c.field)
+		num, str, numeric, _ := fieldOf(r, c.field)
 		if numeric {
-			want, err := strconv.Atoi(c.value)
-			if err != nil {
-				return false
-			}
 			ok := false
 			switch c.op {
 			case "=":
-				ok = num == want
+				ok = num == c.num
 			case "!=":
-				ok = num != want
+				ok = num != c.num
 			case ">":
-				ok = num > want
+				ok = num > c.num
 			case ">=":
-				ok = num >= want
+				ok = num >= c.num
 			case "<":
-				ok = num < want
+				ok = num < c.num
 			case "<=":
-				ok = num <= want
+				ok = num <= c.num
 			}
 			if !ok {
 				return false

@@ -1,11 +1,14 @@
-// Command hybsweep is the scenario lab: it enumerates the grid
-// algo × threads × shards × dist × depth × batch, runs one
-// measurement per valid cell (the same internal/measure cores
-// cmd/hybbench uses), and streams one self-contained JSONL record per
-// cell — measured, skipped (with a reason), or failed (panic or
-// timeout). A ranked per-scenario summary with algorithm crossover
-// points goes to stderr, so stdout redirection yields a clean
-// BENCH_sweep.jsonl artifact.
+// Command hybsweep is the native bench driver and scenario lab: it
+// enumerates the grid algo × threads × shards × dist × depth × batch,
+// runs one internal/measure core per valid cell, and streams one
+// self-contained JSONL record per cell — measured, skipped (with a
+// reason), or failed (panic or timeout). A point benchmark is a
+// one-cell grid. A ranked per-scenario summary with algorithm
+// crossover points goes to stderr, so stdout redirection yields a
+// clean JSONL artifact.
+//
+// Cells run one at a time: cells measured concurrently would contend
+// for the same cores and distort each other's numbers.
 //
 // Cells whose axis combination the execution model does not define
 // are skipped, not errored: depth>1 cells need the scalar uniform
@@ -14,6 +17,13 @@
 // by construction. The skip lines keep the grid product honest — a
 // consumer can verify every cell was either measured or explicitly
 // declined.
+//
+// Two dist values are not key distributions but scenarios over the
+// scalar blocking counter: phase:period:duty selects the
+// phase-shifting leg (harness.Phases) and chaos:seed the
+// fault-containment leg (measure.Chaos: a seeded schedule perturber,
+// injected dispatch delays, a panic-containment probe and a
+// conservation check).
 //
 // GOMAXPROCS is deliberately not an axis: it is process-global, so
 // one process measures one setting and records it in every line's
@@ -26,7 +36,8 @@
 //	hybsweep > sweep.jsonl
 //	hybsweep -grid 'algo=mpserver,hybcomb;threads=1,2,4;depth=1,8;batch=1,32'
 //	GOMAXPROCS=2 hybsweep -grid 'threads=2,4;shards=1,2;dist=uniform,zipf:0.99'
-//	hybsweep -dur 50ms -workers 1 -cell-timeout 30s -out sweep.jsonl
+//	hybsweep -grid 'algo=hybrid,mcs-lock;dist=phase:5ms:0.5,chaos:1'
+//	hybsweep -dur 50ms -cell-timeout 30s -out sweep.jsonl
 package main
 
 import (
@@ -34,6 +45,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -60,12 +72,9 @@ func defaultGrid() (*sweep.Grid, error) {
 
 // Skip reasons for grid corners the execution model does not define.
 const (
-	skipBatchDepth  = "batch-and-depth-exclusive"
-	skipAsyncKeyed  = "async-over-keyed-unsupported"
-	skipBatchKeyed  = "batch-over-keyed-unsupported"
-	skipPhaseAsync  = "phases-over-async-unsupported"
-	skipPhaseBatch  = "phases-over-batch-unsupported"
-	skipPhaseShards = "phases-over-sharded-unsupported"
+	skipBatchDepth = "batch-and-depth-exclusive"
+	skipAsyncKeyed = "async-over-keyed-unsupported"
+	skipBatchKeyed = "batch-over-keyed-unsupported"
 )
 
 // cellAxes is one cell's decoded bindings.
@@ -98,23 +107,46 @@ func decode(c sweep.Cell) (cellAxes, error) {
 	return a, nil
 }
 
+// scenarioLeg returns the bench leg a scenario dist value selects
+// ("phases" for phase:..., "chaos" for chaos:...), or "" for a key
+// distribution.
+func scenarioLeg(dist string) string {
+	switch {
+	case harness.IsPhaseSpec(dist):
+		return "phases"
+	case strings.HasPrefix(dist, "chaos:"):
+		return "chaos"
+	}
+	return ""
+}
+
+// parseChaos parses a chaos:seed dist value.
+func parseChaos(label string) (uint64, error) {
+	seed, err := strconv.ParseUint(strings.TrimPrefix(label, "chaos:"), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad chaos seed (want chaos:N)")
+	}
+	return seed, nil
+}
+
 // classify maps a cell to its bench leg, or to a skip reason when the
 // combination is undefined. A cell is keyed when it shards the object
 // or skews the key distribution; the async and batch legs drive the
-// scalar uniform counter workload only. A phase:... dist value is not
-// a key distribution at all — it selects the phase-shifting leg, which
-// drives the scalar blocking counter workload only.
+// scalar uniform counter workload only. A scenario dist value
+// (phase:... or chaos:...) is not a key distribution at all — it
+// selects its own leg, which drives the scalar blocking counter
+// workload only.
 func (a cellAxes) classify() (bench, skip string) {
-	if harness.IsPhaseSpec(a.dist) {
+	if leg := scenarioLeg(a.dist); leg != "" {
 		switch {
 		case a.depth > 1:
-			return "", skipPhaseAsync
+			return "", leg + "-over-async-unsupported"
 		case a.batch > 1:
-			return "", skipPhaseBatch
+			return "", leg + "-over-batch-unsupported"
 		case a.shards > 1:
-			return "", skipPhaseShards
+			return "", leg + "-over-sharded-unsupported"
 		default:
-			return "phases", ""
+			return leg, ""
 		}
 	}
 	keyed := a.shards > 1 || a.dist != "uniform"
@@ -140,7 +172,6 @@ func main() {
 	gridFlag := flag.String("grid", "", "axis overrides, e.g. 'algo=mpserver,hybcomb;threads=1,2,4;depth=1,8;batch=1,32' (axes: algo, threads, shards, dist, depth, batch)")
 	dur := flag.Duration("dur", 100*time.Millisecond, "measurement duration per cell")
 	keys := flag.Uint64("keys", 1<<16, "key-space size for keyed (sharded/zipf) cells")
-	workers := flag.Int("workers", 1, "worker-pool size; >1 runs cells concurrently, which distorts throughput numbers — use for exploratory sweeps only")
 	cellTimeout := flag.Duration("cell-timeout", 60*time.Second, "hard per-cell timeout; a cell exceeding it is recorded as failed and its goroutine abandoned")
 	out := flag.String("out", "-", "JSONL destination ('-' = stdout)")
 	telFlag := flag.Bool("telemetry", true, "arm per-executor telemetry: cell records carry latency_ns/run_len fields (false = disarmed hot path, for overhead-sensitive gating)")
@@ -187,13 +218,22 @@ func main() {
 	distValues, _ := grid.Values("dist")
 	dists := make(map[string]harness.Dist, len(distValues))
 	phases := make(map[string]harness.Phases)
+	chaosSeeds := make(map[string]uint64)
 	for _, label := range distValues {
-		if harness.IsPhaseSpec(label) {
+		switch scenarioLeg(label) {
+		case "phases":
 			p, err := harness.ParsePhases(label)
 			if err != nil {
 				fatalf("-grid: dist %q: %v", label, err)
 			}
 			phases[label] = p
+			continue
+		case "chaos":
+			seed, err := parseChaos(label)
+			if err != nil {
+				fatalf("-grid: dist %q: %v", label, err)
+			}
+			chaosSeeds[label] = seed
 			continue
 		}
 		d, err := harness.ParseDist(label, *keys)
@@ -216,14 +256,11 @@ func main() {
 	host := benchfmt.CurrentHost()
 
 	runner := &sweep.Runner{
-		Workers: *workers,
 		Timeout: *cellTimeout,
 		// A timed-out cell's goroutine is abandoned, but the executor it
 		// was driving must not wedge forever: poisoning every live
 		// tracked executor completes the abandoned cell's waiters with
 		// ErrPoisoned and lets its server goroutines drain and exit.
-		// (With Workers > 1 this also condemns concurrently-running
-		// cells — their records fail loudly rather than silently skew.)
 		OnTimeout: func(c sweep.Cell) {
 			if n := measure.PoisonLive(fmt.Sprintf("hybsweep: cell %s exceeded -cell-timeout", c)); n > 0 {
 				fmt.Fprintf(os.Stderr, "hybsweep: cell %s timed out; poisoned %d live executor(s)\n", c, n)
@@ -254,6 +291,8 @@ func main() {
 				return measure.Batch(a.algo, a.batch, a.threads, *dur)
 			case "phases":
 				return measure.Phases(a.algo, phases[a.dist], a.threads, *dur)
+			case "chaos":
+				return measure.Chaos(a.algo, chaosSeeds[a.dist], a.threads, *dur)
 			default:
 				return nil, fmt.Errorf("cell %s: no bench leg", c)
 			}

@@ -38,7 +38,7 @@
 //     MP-SERVER and HYBCOMB over lock-free bounded message queues,
 //     CC-SYNCH and SHM-SERVER over shared memory, classic spin locks,
 //     and the evaluation's concurrent objects (counter, MS-Queues,
-//     LCRQ, Treiber stack, coarse-lock stack). cmd/hybbench measures
+//     LCRQ, Treiber stack, coarse-lock stack). cmd/hybsweep measures
 //     them through the registry.
 //
 // See README.md for a tour and DESIGN.md for the system inventory,

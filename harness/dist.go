@@ -7,10 +7,8 @@ import (
 )
 
 // Dist is a parsed key-popularity distribution for keyed workloads:
-// "uniform" or "zipf:theta" over a key space of Keys values. It is the
-// shared plumbing behind hybbench's -dist flag and hybsweep's dist
-// axis, so the two binaries cannot drift on what a distribution label
-// means.
+// "uniform" or "zipf:theta" over a key space of Keys values: the
+// meaning of a key-distribution value on hybsweep's dist axis.
 type Dist struct {
 	label string
 	keys  uint64

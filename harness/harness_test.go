@@ -42,8 +42,8 @@ func TestMeanAndMinMax(t *testing.T) {
 
 func TestRunNativeCountsOps(t *testing.T) {
 	var calls atomic.Uint64
-	res := RunNative(4, 50*time.Millisecond, 10, func(thread int) func(uint64) {
-		return func(uint64) { calls.Add(1) }
+	res := RunNativeDrain(4, 50*time.Millisecond, 10, func(thread int) (func(uint64), func()) {
+		return func(uint64) { calls.Add(1) }, nil
 	})
 	if res.Ops == 0 {
 		t.Fatal("no ops recorded")

@@ -78,19 +78,11 @@ func (x *XorShift) Next() uint64 {
 	return v
 }
 
-// RunNative runs `threads` goroutines for `dur`, each repeatedly calling
-// body(thread, i) followed by up to maxLocalWork iterations of local
-// work, and returns the aggregate op count. body must be safe for
-// concurrent use across threads (each thread should build its own
-// handles inside setup).
-func RunNative(threads int, dur time.Duration, maxLocalWork uint64, setup func(thread int) func(i uint64)) NativeResult {
-	return RunNativeDrain(threads, dur, maxLocalWork, func(t int) (func(i uint64), func()) {
-		return setup(t), nil
-	})
-}
-
-// RunNativeDrain is RunNative for pipelined workloads: setup returns
-// the iteration body plus a drain func (may be nil) that the worker
+// RunNativeDrain runs `threads` goroutines for `dur`, each repeatedly
+// calling the body setup returned for it followed by up to
+// maxLocalWork iterations of local work, and returns the aggregate op
+// count. Each thread builds its own handles inside setup. setup also
+// returns a drain func (nil for blocking workloads) that the worker
 // goroutine itself runs after the stop flag fires, while the other
 // workers are still iterating or draining.
 //

@@ -13,9 +13,8 @@ import (
 // together for Duty of every Period, then idle for the rest. It is the
 // workload the adaptive hybrid construction exists for — contention
 // arrives in waves, so a static lock is right half the time and a
-// static delegation scheme the other half — and it is shared plumbing
-// like Dist, so hybbench's -phase flag and hybsweep's phase:... dist
-// axis cannot drift on what a spec means.
+// static delegation scheme the other half — and, like Dist, it is the
+// meaning of a phase:... value on hybsweep's dist axis.
 type Phases struct {
 	label  string
 	period time.Duration

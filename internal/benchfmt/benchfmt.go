@@ -1,23 +1,20 @@
 // Package benchfmt is the one definition of the repo's benchmark
-// record format. cmd/hybbench writes it (as an indented Report
-// envelope, the BENCH_*.json trajectory files), cmd/hybsweep streams
-// it (as self-contained SweepRecord JSONL lines, BENCH_sweep.jsonl),
-// and cmd/benchguard reads both — three binaries, one schema, no
-// parallel struct definitions drifting apart.
+// record format: self-contained SweepRecord JSONL lines, one per
+// measured, skipped or failed cell. cmd/hybsweep writes it, every
+// committed BENCH_*.jsonl file holds it, and cmd/benchguard reads it —
+// one schema, no parallel struct definitions drifting apart.
 //
 // Schema history:
 //
-//	v1 (unversioned, PRs 2–5): hybbench -json envelope with
+//	v1 (unversioned): an indented JSON envelope with
 //	    gomaxprocs/goversion/numcpu and per-point results; batch-path
 //	    records carried combiner rounds/combined counters whose unit
 //	    is ill-defined for batched submissions.
-//	v2 (this package): explicit schema_version on the envelope and on
-//	    every JSONL line; ApplyBatch-path records omit rounds/combined
-//	    (see Record.Finish); SweepRecord adds cell index, skip reason,
-//	    error, elapsed time and inline host context.
-//
-// Readers tolerate v1 input: encoding/json leaves the absent fields
-// zero, and nothing below keys off schema_version except validation.
+//	v2 (this package): schema_version on every JSONL line;
+//	    ApplyBatch-path records omit rounds/combined (see
+//	    Record.Finish); SweepRecord adds cell index, skip reason,
+//	    error, elapsed time and inline host context. Every committed
+//	    perf file is v2 JSONL.
 package benchfmt
 
 import (
@@ -35,15 +32,12 @@ import (
 // added fields are backward-compatible by construction.
 const SchemaVersion = 2
 
-// Paths of a batch-bench record: the same object driven through scalar
-// Apply calls vs through ApplyBatch. Kept distinct so a consumer
-// keying on the batch field can never conflate the per-op baseline
-// (PathApply, no batch field) with a size-1 ApplyBatch measurement
-// (PathBatch, batch 1).
-const (
-	PathApply = "apply"
-	PathBatch = "batch"
-)
+// PathBatch is the path of a record measured through ApplyBatch. Its
+// batch field counts operations per submission, so rounds/combined
+// are stripped (see Finish). Per-op Apply records leave path empty
+// (older committed records say "apply"), so a size-1 ApplyBatch cell
+// never shares an identity with the per-op path.
+const PathBatch = "batch"
 
 // Host is the measurement context that makes records comparable
 // across machines and runs.
@@ -188,55 +182,10 @@ func (r *Record) Finish() {
 	}
 }
 
-// Report is the hybbench -json envelope, the commit format of the
-// BENCH_*.json perf-trajectory files.
-type Report struct {
-	SchemaVersion int `json:"schema_version"`
-	Host
-	DurationMs int64    `json:"duration_ms_per_point"`
-	Results    []Record `json:"results"`
-}
-
-// NewReport starts an envelope stamped with the current host context.
-func NewReport(perPoint int64) *Report {
-	return &Report{SchemaVersion: SchemaVersion, Host: CurrentHost(), DurationMs: perPoint}
-}
-
-// Add finishes rec and appends it.
-func (rep *Report) Add(rec Record) {
-	rec.Finish()
-	rep.Results = append(rep.Results, rec)
-}
-
-// Encode writes the envelope, finishing every record first (Finish is
-// idempotent, so records added via Add are unaffected).
-func (rep *Report) Encode(w io.Writer) error {
-	for i := range rep.Results {
-		rep.Results[i].Finish()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ReadReport parses a hybbench -json envelope (v1 or v2).
-func ReadReport(r io.Reader) (Report, error) {
-	var rep Report
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// SweepRecord is one line of sweep JSONL (BENCH_sweep.jsonl). Unlike
-// Report results, every line is self-contained — it carries the
-// schema version and host context inline — so sweep files from
-// different GOMAXPROCS runs concatenate into one artifact and a
-// consumer never needs an envelope.
+// SweepRecord is one line of sweep JSONL (BENCH_*.jsonl). Every line
+// is self-contained — it carries the schema version and host context
+// inline — so sweep files from different GOMAXPROCS runs concatenate
+// into one artifact and a consumer never needs an envelope.
 //
 // Exactly one of three states holds per cell:
 //

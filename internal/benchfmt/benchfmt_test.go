@@ -3,6 +3,8 @@ package benchfmt
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -38,9 +40,10 @@ func TestBatchRecordStatsHonesty(t *testing.T) {
 }
 
 // Scalar records keep the counters: on those the invariant holds and
-// the trajectory files depend on them.
+// the trajectory files depend on them. "apply" is the per-op path
+// label older committed batch records carry.
 func TestScalarRecordKeepsStats(t *testing.T) {
-	for _, path := range []string{"", PathApply} {
+	for _, path := range []string{"", "apply"} {
 		rec := Record{
 			Bench: "counter", Algo: "hybcomb", Threads: 2,
 			Ops: 1000, Mops: 2.0, Path: path,
@@ -86,45 +89,6 @@ func TestFromNative(t *testing.T) {
 	}
 }
 
-// TestReportRoundTrip checks the envelope survives Encode → ReadReport
-// with the schema version and host context intact, and that a v1
-// (unversioned) envelope still parses.
-func TestReportRoundTrip(t *testing.T) {
-	rep := NewReport(200)
-	rep.Add(Record{Bench: "counter", Algo: "ccsynch", Threads: 4, Ops: 42, Mops: 0.5, Rounds: 10, Combined: 32})
-	rep.Add(Record{Bench: "batch", Algo: "ccsynch", Threads: 4, Batch: 8, Path: PathBatch, Ops: 42, Mops: 0.5, Rounds: 99})
-	var buf bytes.Buffer
-	if err := rep.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SchemaVersion != SchemaVersion {
-		t.Fatalf("schema_version %d, want %d", got.SchemaVersion, SchemaVersion)
-	}
-	if got.Host != rep.Host {
-		t.Fatalf("host %+v, want %+v", got.Host, rep.Host)
-	}
-	if len(got.Results) != 2 {
-		t.Fatalf("results %d, want 2", len(got.Results))
-	}
-	if got.Results[1].Rounds != 0 {
-		t.Fatalf("batch-path record kept rounds through the envelope: %+v", got.Results[1])
-	}
-
-	v1 := `{"gomaxprocs":1,"goversion":"go1.24.0","numcpu":1,"duration_ms_per_point":200,` +
-		`"results":[{"bench":"counter","algo":"mpserver","threads":1,"ops":10,"mops":1.2,"ns_per_op":833.3}]}`
-	old, err := ReadReport(strings.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 envelope: %v", err)
-	}
-	if old.SchemaVersion != 0 || len(old.Results) != 1 || old.Results[0].Algo != "mpserver" {
-		t.Fatalf("v1 envelope parsed as %+v", old)
-	}
-}
-
 func TestReadSweep(t *testing.T) {
 	lines := `{"schema_version":2,"gomaxprocs":2,"goversion":"go1.24.0","numcpu":1,"cell":0,"bench":"counter","algo":"mpserver","threads":1,"ops":5,"mops":1,"ns_per_op":1000}
 
@@ -146,5 +110,51 @@ func TestReadSweep(t *testing.T) {
 
 	if _, err := ReadSweep(strings.NewReader("{not json}\n")); err == nil {
 		t.Fatal("malformed line did not error")
+	}
+}
+
+// TestCommittedPerfFiles checks every committed BENCH_* perf file is
+// v2 sweep JSONL whose measured records carry their host context and
+// every axis field, so benchguard's full-identity gating can find
+// them.
+func TestCommittedPerfFiles(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_* files found")
+	}
+	for _, path := range paths {
+		if filepath.Ext(path) != ".jsonl" {
+			t.Errorf("%s: perf files are JSONL", path)
+			continue
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadSweep(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(recs) == 0 {
+			t.Errorf("%s: no records", path)
+		}
+		for i, r := range recs {
+			if r.SchemaVersion != SchemaVersion || r.GoMaxProcs <= 0 || r.NumCPU <= 0 || r.GoVersion == "" {
+				t.Errorf("%s record %d: schema/host %+v", path, i, r.Host)
+			}
+			if r.Skip != "" || r.Error != "" {
+				continue
+			}
+			if r.Bench == "" || r.Algo == "" || r.Threads <= 0 || r.Shards <= 0 || r.Dist == "" || r.Depth <= 0 || r.Batch <= 0 {
+				t.Errorf("%s record %d: missing axis field: %+v", path, i, r.Record)
+			}
+			if r.Ops == 0 || r.Mops <= 0 || r.NsPerOp <= 0 {
+				t.Errorf("%s record %d: no throughput: %+v", path, i, r.Record)
+			}
+		}
 	}
 }

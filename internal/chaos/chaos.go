@@ -1,5 +1,5 @@
 // Package chaos holds the fault-injection toolkit behind the
-// repository's liveness tests and the `hybbench -bench chaos` leg:
+// repository's liveness tests and hybsweep's chaos:<seed> cells:
 // Object wrappers that panic, delay or corrupt on a deterministic
 // schedule, and a seeded scheduler perturber that hooks the backoff
 // package's wait points. Everything is seeded and deterministic in

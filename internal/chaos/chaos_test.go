@@ -109,10 +109,16 @@ func TestPanicPoisonsNotDeadlocks(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewObject(%s): %v", algo, err)
 				}
+				// Every handle exists before any worker starts: a worker
+				// can trip the fault within its first 50 operations, and
+				// NewHandle on a poisoned executor fails by contract.
 				const workers = 4
+				handles := make([]hybsync.Handle, workers)
+				for w := range handles {
+					handles[w] = hybsync.MustHandle(ex)
+				}
 				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					h := hybsync.MustHandle(ex)
+				for _, h := range handles {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()

@@ -1,10 +1,7 @@
-// Package measure holds the measurement cores shared by cmd/hybbench
-// and cmd/hybsweep: one function per bench leg (counter, sharded,
-// async, batch), each driving the native harness for a fixed duration
-// and returning one benchfmt.Record. Factoring them here means the
-// point benchmark and the grid sweep measure the same thing by
-// construction — a sweep cell at depth 8 runs the exact code
-// `hybbench -bench async -depth 8` runs.
+// Package measure holds the measurement cores behind cmd/hybsweep's
+// grid cells: one function per bench leg (counter, sharded, async,
+// batch, phases, chaos), each driving the native harness for a fixed
+// duration and returning one benchfmt.Record.
 package measure
 
 import (
@@ -24,7 +21,7 @@ import (
 // telemetryOff inverts the default: measurement cores arm telemetry
 // unless SetTelemetry(false) disarmed it, so records carry latency and
 // run-length fields out of the box and the overhead-sensitive CI gates
-// opt out explicitly (hybbench/hybsweep -telemetry=false).
+// opt out explicitly (hybsweep -telemetry=false).
 var telemetryOff atomic.Bool
 
 // SetTelemetry arms (true, the default) or disarms (false) telemetry
@@ -149,12 +146,12 @@ func Counter(algo string, th int, dur time.Duration) (benchfmt.Record, error) {
 	}
 	defer c.Close()
 	defer track(c, "counter/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(int) func(uint64) {
+	res := harness.RunNativeDrain(th, dur, 50, func(int) (func(uint64), func()) {
 		h, err := c.NewHandle()
 		if err != nil {
 			panic(err)
 		}
-		return func(uint64) { h.Inc() }
+		return func(uint64) { h.Inc() }, nil
 	})
 	rec := benchfmt.FromNative("counter", algo, th, res)
 	rec.Rounds, rec.Combined, _ = c.Stats()
@@ -175,7 +172,7 @@ func Sharded(algo string, nshards int, dist harness.Dist, th int, dur time.Durat
 	}
 	defer c.Close()
 	defer track(c, "sharded/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(t int) func(uint64) {
+	res := harness.RunNativeDrain(th, dur, 50, func(t int) (func(uint64), func()) {
 		h, err := c.NewHandle()
 		if err != nil {
 			panic(err)
@@ -185,7 +182,7 @@ func Sharded(algo string, nshards int, dist harness.Dist, th int, dur time.Durat
 			if _, err := h.Inc(draw()); err != nil {
 				panic(err)
 			}
-		}
+		}, nil
 	})
 	rec := benchfmt.FromNative("sharded", algo, th, res)
 	rec.Shards, rec.Dist = nshards, dist.Label()
@@ -333,11 +330,11 @@ func Batch(algo string, b, th int, dur time.Duration) (benchfmt.Record, error) {
 		return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", algo, err)
 	}
 	defer track(ex, "batch/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(int) func(uint64) {
+	res := harness.RunNativeDrain(th, dur, 50, func(int) (func(uint64), func()) {
 		h := hybsync.MustHandle(ex)
 		reqs := make([]hybsync.Req, b)
 		rets := make([]uint64, b)
-		return func(uint64) { h.ApplyBatch(reqs, rets) }
+		return func(uint64) { h.ApplyBatch(reqs, rets) }, nil
 	})
 	// One iteration is b operations; rescale so Ops/Mops/fairness are
 	// per operation. ApplyBatch blocks until its batch completed, so
@@ -399,9 +396,9 @@ func Chaos(algo string, seed uint64, th int, dur time.Duration) (benchfmt.Record
 		return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", algo, err)
 	}
 	defer track(ex, "chaos/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(int) func(uint64) {
+	res := harness.RunNativeDrain(th, dur, 50, func(int) (func(uint64), func()) {
 		h := hybsync.MustHandle(ex)
-		return func(uint64) { h.Apply(0, 0) }
+		return func(uint64) { h.Apply(0, 0) }, nil
 	})
 	if err := ex.Close(); err != nil {
 		return benchfmt.Record{}, fmt.Errorf("Close(%s): %w", algo, err)
@@ -420,35 +417,6 @@ func Chaos(algo string, seed uint64, th int, dur time.Duration) (benchfmt.Record
 			TimeoutCondemns: telemetry.CondemnedCount() - condemned0,
 		}
 	}
-	rec.Finish()
-	return rec, nil
-}
-
-// BatchApply is Batch's per-op baseline: the same counter object
-// driven through scalar Apply calls (the legacy path's cost per
-// operation). Records carry path "apply" and no batch field.
-func BatchApply(algo string, th int, dur time.Duration) (benchfmt.Record, error) {
-	obj := &batchCounter{}
-	tel := newTel()
-	ex, err := hybsync.NewObject(algo, obj, opts(tel)...)
-	if err != nil {
-		return benchfmt.Record{}, fmt.Errorf("NewObject(%s): %w", algo, err)
-	}
-	defer track(ex, "batch-apply/"+algo, tel)()
-	res := harness.RunNative(th, dur, 50, func(int) func(uint64) {
-		h := hybsync.MustHandle(ex)
-		return func(uint64) { h.Apply(0, 0) }
-	})
-	rec := benchfmt.FromNative("batch", algo, th, res)
-	rec.Path = benchfmt.PathApply
-	if s, ok := ex.(hybsync.StatsSource); ok {
-		rec.Rounds, rec.Combined = s.Stats()
-	}
-	rec.Pipe = pipeOf(ex)
-	if err := ex.Close(); err != nil {
-		return benchfmt.Record{}, fmt.Errorf("Close(%s): %w", algo, err)
-	}
-	telFields(&rec, tel)
 	rec.Finish()
 	return rec, nil
 }

@@ -22,6 +22,10 @@ func TestCounter(t *testing.T) {
 	if rec.Ops == 0 || rec.Mops <= 0 || rec.NsPerOp <= 0 {
 		t.Fatalf("no throughput in %+v", rec)
 	}
+	if rec.Rounds+rec.Combined != rec.Ops {
+		t.Fatalf("scalar invariant rounds+combined==ops broken: %d+%d != %d",
+			rec.Rounds, rec.Combined, rec.Ops)
+	}
 	if _, err := Counter("no-such-algo", 1, dur); err == nil {
 		t.Fatal("unknown algo accepted")
 	}
@@ -103,16 +107,24 @@ func TestBatchStatsHonesty(t *testing.T) {
 	if rec.Ops%8 != 0 || rec.Ops == 0 {
 		t.Fatalf("ops %d not a multiple of batch size", rec.Ops)
 	}
+}
 
-	apply, err := BatchApply("hybcomb", 2, dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if apply.Path != benchfmt.PathApply || apply.Batch != 0 {
-		t.Fatalf("apply record %+v", apply)
-	}
-	if apply.Rounds+apply.Combined != apply.Ops {
-		t.Fatalf("scalar invariant rounds+combined==ops broken: %d+%d != %d",
-			apply.Rounds, apply.Combined, apply.Ops)
+// TestChaos checks the chaos leg's own brackets, which the record
+// alone cannot show: the containment probe's deliberate panic is
+// counted as exactly one poison, and the measured executor conserves
+// every operation and closes cleanly (Chaos returns an error
+// otherwise).
+func TestChaos(t *testing.T) {
+	for _, algo := range []string{"mpserver", "hybcomb", "ccsynch", "mcs-lock", "hybrid"} {
+		rec, err := Chaos(algo, 1, 2, dur)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if rec.Bench != "chaos" || rec.Ops == 0 {
+			t.Fatalf("%s: record %+v", algo, rec)
+		}
+		if rec.Faults == nil || rec.Faults.Poisons != 1 {
+			t.Fatalf("%s: faults %+v, want exactly the probe's one poison", algo, rec.Faults)
+		}
 	}
 }

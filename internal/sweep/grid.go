@@ -1,10 +1,10 @@
 // Package sweep is the scenario-lab engine: a grid of named axes with
 // command-line overrides, deterministic cell enumeration, and a
-// worker-pool runner that fans cells across goroutines with per-cell
-// timeout, panic recovery and skip-reasons, streaming results in cell
-// order. It is workload-agnostic — cmd/hybsweep supplies the axes and
-// the measurement function; this package supplies the machinery (in
-// the style of the lava-sweep and pacs_sweep harnesses referenced in
+// sequential runner with per-cell timeout, panic recovery and
+// skip-reasons, streaming results in cell order. It is
+// workload-agnostic — cmd/hybsweep supplies the axes and the
+// measurement function; this package supplies the machinery (in the
+// style of the lava-sweep and pacs_sweep harnesses referenced in
 // SNIPPETS.md).
 package sweep
 

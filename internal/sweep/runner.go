@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -19,12 +18,9 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Runner fans grid cells across a worker pool.
-//
-// Workers is the pool size. For perf sweeps it should be 1 — cells
-// measured concurrently contend for the same cores and distort each
-// other — but the pool exists so exploratory sweeps over cheap cells
-// can trade accuracy for wall-clock.
+// Runner runs grid cells one at a time: cells measured concurrently
+// would contend for the same cores and distort each other, and a
+// timed-out cell's OnTimeout would condemn whatever else was running.
 //
 // Check, if set, vets a cell before it runs; a non-empty return is
 // the skip-reason and Run is never called for that cell (e.g.
@@ -38,69 +34,29 @@ type Result struct {
 // deadlocked construction into a red sweep record instead of a hung
 // harness.
 //
-// OnTimeout, if set, is called (from the sweep's worker goroutine,
-// after the deadline fires but before the Result is emitted) for each
-// abandoned cell. It is the finalizer for whatever the cell leaked: a
-// harness that tracks live executors per cell should poison and close
-// them here so the wedged cell's waiters unblock and its server
-// goroutines exit, instead of leaking until process exit. It must not
-// block — the abandoned Run goroutine may still be using the cell.
+// OnTimeout, if set, is called (after the deadline fires but before
+// the Result is emitted) for each abandoned cell. It is the finalizer
+// for whatever the cell leaked: a harness that tracks live executors
+// per cell should poison and close them here so the wedged cell's
+// waiters unblock and its server goroutines exit, instead of leaking
+// until process exit. It must not block — the abandoned Run goroutine
+// may still be using the cell.
 //
 // Run performs the measurement. It may panic: panics are recovered
 // into Result.Err with a stack, and the sweep continues.
 type Runner struct {
-	Workers   int
 	Timeout   time.Duration
 	Check     func(Cell) string
 	Run       func(Cell) (any, error)
 	OnTimeout func(Cell)
 }
 
-// Sweep runs every cell and calls emit exactly once per cell, from a
-// single goroutine, in the order the cells were given (results are
-// reordered internally, so emit can stream JSONL straight to a file
-// and the output order is deterministic regardless of worker
-// scheduling). It returns the counts of measured, skipped and failed
-// cells.
+// Sweep runs every cell in the order given and calls emit once per
+// cell as it finishes, so emit can stream JSONL straight to a file. It
+// returns the counts of measured, skipped and failed cells.
 func (r *Runner) Sweep(cells []Cell, emit func(Result)) (measured, skipped, failed int) {
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	type job struct {
-		pos  int
-		cell Cell
-	}
-	type done struct {
-		pos int
-		res Result
-	}
-	jobs := make(chan job)
-	results := make(chan done, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				results <- done{j.pos, r.runCell(j.cell)}
-			}
-		}()
-	}
-	go func() {
-		for pos, cell := range cells {
-			jobs <- job{pos, cell}
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reorder completions back into submission order so emit streams
-	// deterministically.
-	pending := make(map[int]Result)
-	next := 0
-	count := func(res Result) {
+	for _, cell := range cells {
+		res := r.runCell(cell)
 		switch {
 		case res.Skip != "":
 			skipped++
@@ -109,19 +65,7 @@ func (r *Runner) Sweep(cells []Cell, emit func(Result)) (measured, skipped, fail
 		default:
 			measured++
 		}
-	}
-	for d := range results {
-		pending[d.pos] = d.res
-		for {
-			res, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			count(res)
-			emit(res)
-		}
+		emit(res)
 	}
 	return measured, skipped, failed
 }

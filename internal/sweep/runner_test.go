@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -19,43 +18,10 @@ func numberedCells(t *testing.T, n int) []Cell {
 	return g.Cells()
 }
 
-// TestSweepInOrderEmission drives many cheap cells through a wide
-// pool (under -race in CI) and checks emit sees every cell exactly
-// once, from one goroutine, in submission order.
-func TestSweepInOrderEmission(t *testing.T) {
-	cells := numberedCells(t, 100)
-	var running atomic.Int32
-	r := &Runner{
-		Workers: 8,
-		Run: func(c Cell) (any, error) {
-			running.Add(1)
-			defer running.Add(-1)
-			i, _ := c.Int("i")
-			return i * 10, nil
-		},
-	}
-	var got []int
-	measured, skipped, failed := r.Sweep(cells, func(res Result) {
-		if res.Err != nil || res.Skip != "" {
-			t.Errorf("cell %d: unexpected err=%v skip=%q", res.Cell.Index, res.Err, res.Skip)
-		}
-		got = append(got, res.Value.(int))
-	})
-	if measured != 100 || skipped != 0 || failed != 0 {
-		t.Fatalf("counts = %d/%d/%d", measured, skipped, failed)
-	}
-	for i, v := range got {
-		if v != i*10 {
-			t.Fatalf("emission out of order at %d: got value %d", i, v)
-		}
-	}
-}
-
 func TestSweepSkipReasons(t *testing.T) {
 	cells := numberedCells(t, 10)
 	ran := make([]bool, 10)
 	r := &Runner{
-		Workers: 3,
 		Check: func(c Cell) string {
 			if i, _ := c.Int("i"); i%2 == 1 {
 				return "odd-cells-invalid"
@@ -90,7 +56,6 @@ func TestSweepSkipReasons(t *testing.T) {
 func TestSweepPanicRecovery(t *testing.T) {
 	cells := numberedCells(t, 4)
 	r := &Runner{
-		Workers: 2,
 		Run: func(c Cell) (any, error) {
 			if i, _ := c.Int("i"); i == 2 {
 				panic("construction deadlocked an invariant")
@@ -134,7 +99,6 @@ func TestSweepTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	r := &Runner{
-		Workers: 1,
 		Timeout: 20 * time.Millisecond,
 		Run: func(c Cell) (any, error) {
 			if i, _ := c.Int("i"); i == 1 {
